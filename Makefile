@@ -27,7 +27,7 @@ GOVULNCHECK_VERSION ?= v1.1.4
 STATICCHECK ?= staticcheck
 GOVULNCHECK ?= govulncheck
 
-.PHONY: build vet test race bench chaos lint lint-tools docs serve-smoke clean
+.PHONY: build vet test race stress bench chaos lint lint-tools docs serve-smoke clean
 
 build:
 	$(GO) build ./...
@@ -48,6 +48,14 @@ test:
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -cpu 1,2,4 ./internal/attack
+
+# stress reruns the packages whose test fixtures once raced at multi-core
+# GOMAXPROCS (the streamed-fleet shutdown ordering in amppot, the
+# fault-injection proxy's reset in faultnet) twenty times under the race
+# detector at 1, 2 and 4 cores, so a fixture that depends on scheduling
+# fails here rather than intermittently in `make test`.
+stress:
+	$(GO) test -race -count=20 -cpu 1,2,4 ./internal/amppot ./internal/faultnet
 
 # bench runs every benchmark in the module once as a smoke check and
 # records the query/columnar/segment/live-ingest/multi-producer/federation/concurrency

@@ -99,6 +99,15 @@ func (c *Collector) closeFlow(key flowKey, f *reqFlow) {
 }
 
 // CloseIdle closes flows idle beyond the gap timeout as of time now.
+//
+// now must not precede any observation still due for an open flow: a
+// flow closed at now whose next request later arrives within the gap
+// timeout of its last one is split in two, and Accept may then drop
+// both fragments as too short. Live capture passes wall-clock time, which
+// every future packet timestamp follows; a replay or test that feeds
+// logical timestamps from several producers must pass the minimum of
+// their clocks — a watermark no producer will go back behind — never a
+// fixed time ahead of them.
 func (c *Collector) CloseIdle(now int64) {
 	for key, f := range c.flows {
 		if now-f.last > c.cfg.GapTimeout {

@@ -63,7 +63,9 @@ func (f *Fleet) Flush() []attack.Event {
 	return f.collector.Events()
 }
 
-// CloseIdle expires idle flows as of now.
+// CloseIdle expires idle flows as of now, under the same contract as
+// Collector.CloseIdle: now must not precede observations still due for
+// an open flow.
 func (f *Fleet) CloseIdle(now int64) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -101,6 +103,13 @@ func (f *Fleet) StreamTo(st *attack.Store) {
 // Either way a batch lands in the store's ingest front and publishes
 // atomically with the store's drain cadence. It returns the number of
 // events extracted.
+//
+// now follows Collector.CloseIdle's contract: it must not precede
+// observations still due for an open flow, or a flow still receiving
+// requests is split (and its fragments may fall below the request
+// threshold). The daemon passes wall-clock time; producers replaying
+// logical time must drive DrainTo from a watermark they publish (the
+// minimum of their clocks), not from a fixed now.
 //
 // DrainTo serializes against the fleet's collector internally, and the
 // store needs no external lock either: its ingest front is safe for

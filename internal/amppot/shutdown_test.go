@@ -2,8 +2,10 @@ package amppot
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -25,13 +27,21 @@ func vecFor(v int) attack.Vector {
 // closes (and, in stream mode, publishes) the first event mid-run and
 // the second only at the final flush. Per-(victim,vector) observations
 // stay in one goroutine, so the collector's ordering contract holds no
-// matter how producers interleave.
-func driveVictim(f *Fleet, victim netx.Addr, vec attack.Vector, base int64, gap int64) {
+// matter how producers interleave. When clock is non-nil, every
+// request's timestamp is published to it after the fleet has taken the
+// request — the producer's watermark.
+func driveVictim(f *Fleet, victim netx.Addr, vec attack.Vector, base int64, gap int64, clock *atomic.Int64) {
+	handle := func(i int, ts int64) {
+		f.HandleRequest(int(victim)+i, ts, victim, vec, []byte{1})
+		if clock != nil {
+			clock.Store(ts)
+		}
+	}
 	for i := 0; i < 150; i++ {
-		f.HandleRequest(int(victim)+i, base+int64(i), victim, vec, []byte{1})
+		handle(i, base+int64(i))
 	}
 	for i := 0; i < 120; i++ {
-		f.HandleRequest(int(victim)+i, base+150+gap+1+int64(i), victim, vec, []byte{1})
+		handle(i, base+150+gap+1+int64(i))
 	}
 }
 
@@ -53,6 +63,28 @@ func TestShutdownOrderingStreamedFleet(t *testing.T) {
 	store.StartIngest(attack.IngestConfig{Tick: time.Millisecond})
 	fleet.StreamTo(store)
 
+	// Each producer publishes its clock (the timestamp of the last
+	// request it handed the fleet); the drain ticker closes flows as of
+	// the slowest producer's clock. DrainTo's contract is that now must
+	// not precede observations still due for an open flow: every
+	// producer's next request is at or after its published clock, so the
+	// minimum never closes a flow mid-burst. A finished producer stops
+	// holding the watermark back.
+	var clocks [producers]atomic.Int64
+	for p := range clocks {
+		clocks[p].Store(attack.WindowStart)
+	}
+	watermark := func() int64 {
+		now := int64(math.MaxInt64)
+		for p := range clocks {
+			now = min(now, clocks[p].Load())
+		}
+		return now
+	}
+	// Victims of one producer follow each other along its clock: each
+	// victim's two bursts (150 + 120 requests around one gap) end before
+	// the next victim starts, so a producer's timestamps never go back.
+	stride := 2*cfg.GapTimeout + 1000
 	var wg sync.WaitGroup
 	for p := 0; p < producers; p++ {
 		wg.Add(1)
@@ -60,8 +92,9 @@ func TestShutdownOrderingStreamedFleet(t *testing.T) {
 			defer wg.Done()
 			for v := 0; v < victimsPer; v++ {
 				victim := netx.AddrFrom4(203, 0, byte(p), byte(v))
-				driveVictim(fleet, victim, vecFor(v), attack.WindowStart, cfg.GapTimeout)
+				driveVictim(fleet, victim, vecFor(v), attack.WindowStart+int64(v)*stride, cfg.GapTimeout, &clocks[p])
 			}
+			clocks[p].Store(math.MaxInt64)
 		}(p)
 	}
 	drainDone := make(chan struct{})
@@ -73,7 +106,7 @@ func TestShutdownOrderingStreamedFleet(t *testing.T) {
 			case <-stopDrain:
 				return
 			default:
-				fleet.DrainTo(store, attack.WindowStart+150+cfg.GapTimeout+200)
+				fleet.DrainTo(store, watermark())
 				time.Sleep(200 * time.Microsecond)
 			}
 		}
@@ -103,7 +136,7 @@ func TestShutdownOrderingStreamedFleet(t *testing.T) {
 	for p := 0; p < producers; p++ {
 		for v := 0; v < victimsPer; v++ {
 			victim := netx.AddrFrom4(203, 0, byte(p), byte(v))
-			driveVictim(ref, victim, vecFor(v), attack.WindowStart, cfg.GapTimeout)
+			driveVictim(ref, victim, vecFor(v), attack.WindowStart+int64(v)*stride, cfg.GapTimeout, nil)
 		}
 	}
 	want := ref.FlushStore().Events()

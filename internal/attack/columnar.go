@@ -354,37 +354,10 @@ func newMergeCursor(sh *shard) mergeCursor {
 	return mergeCursor{sh: sh, body: sh.sealed, tail: sh.tailPerm()}
 }
 
-// peek returns the next physical row in merged order, or -1 when the
-// cursor is exhausted.
-func (c *mergeCursor) peek() int {
-	if c.k < c.body {
-		b := int32(c.sh.ordRow(c.k))
-		if c.t >= len(c.tail) || c.sh.cmpRows(b, c.tail[c.t]) <= 0 {
-			return int(b)
-		}
-		return int(c.tail[c.t])
-	}
-	if c.t < len(c.tail) {
-		return int(c.tail[c.t])
-	}
-	return -1
-}
-
-// advance consumes the row peek would return.
-func (c *mergeCursor) advance() {
-	if c.k < c.body {
-		b := int32(c.sh.ordRow(c.k))
-		if c.t >= len(c.tail) || c.sh.cmpRows(b, c.tail[c.t]) <= 0 {
-			c.k++
-			return
-		}
-	}
-	c.t++
-}
-
 // next returns and consumes the next row in merged order, -1 when
-// exhausted — the drain loop every terminal but IterByStart (which
-// needs peek and advance split around its k-way merge) uses.
+// exhausted — the drain loop of every ordered walk over a pending tail
+// (Iter and Fold scans, fullOrd) and of IterByStart's scan sources,
+// which pull it one matching row at a time.
 func (c *mergeCursor) next() int {
 	if c.k < c.body {
 		b := int32(c.sh.ordRow(c.k))

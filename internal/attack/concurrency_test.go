@@ -224,6 +224,8 @@ func TestReadPathsDoNotMutate(t *testing.T) {
 			for range st.Query().IterByStart() {
 				break
 			}
+			for range st.Query().TargetPrefix(target, 24).IterByStart() {
+			}
 			st.Query().GroupByTarget()
 			Fold(st.Query(),
 				func() int { return 0 },

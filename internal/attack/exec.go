@@ -204,13 +204,11 @@ func (q *Query) prefixBounds() (lo, hi netx.Addr) {
 // probeShard serves one shard's prefix-filtered rows from the by-target
 // permutation: binary search to the start of the [lo, hi] target run,
 // walk it applying the residual filters, then a linear pass over the
-// pending tail. When ordered, matched rows are buffered and sorted into
-// (start, target, row) order — the shard's Iter order, which
-// concatenates to the global one because shards partition the time
-// axis. fn returning false stops the walk.
-func (q *Query) probeShard(sh *shard, perm []int32, ordered bool, scratch *Event, fn func(sh *shard, i int) bool) bool {
+// pending tail. Rows arrive in (target, start, row) order, tail last;
+// orderedProbe re-sorts them when a terminal needs the shard's Iter
+// order. fn returning false stops the walk.
+func (q *Query) probeShard(sh *shard, perm []int32, scratch *Event, fn func(sh *shard, i int) bool) bool {
 	loT, hiT := q.prefixBounds()
-	var refs []int32
 	visit := func(i int) bool {
 		if !q.matchKey(sh, i) {
 			return true
@@ -220,10 +218,6 @@ func (q *Query) probeShard(sh *shard, perm []int32, ordered bool, scratch *Event
 			if !q.pred(scratch) {
 				return true
 			}
-		}
-		if ordered {
-			refs = append(refs, int32(i))
-			return true
 		}
 		return fn(sh, i)
 	}
@@ -246,27 +240,26 @@ func (q *Query) probeShard(sh *shard, perm []int32, ordered bool, scratch *Event
 			}
 		}
 	}
-	if !ordered {
+	return true
+}
+
+// orderedProbe returns the shard's rows matching every filter, served
+// by probeShard and sorted into (start, target, row) order — the
+// shard's Iter order, which concatenates to the global one because
+// shards partition the time axis. Iter and IterByStart share it.
+func (q *Query) orderedProbe(sh *shard, perm []int32, scratch *Event) []int32 {
+	var rows []int32
+	q.probeShard(sh, perm, scratch, func(_ *shard, i int) bool {
+		rows = append(rows, int32(i))
 		return true
-	}
-	slices.SortFunc(refs, func(a, b int32) int {
-		if c := cmp.Compare(sh.start[a], sh.start[b]); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(sh.target[a], sh.target[b]); c != 0 {
+	})
+	slices.SortFunc(rows, func(a, b int32) int {
+		if c := sh.cmpRows(a, b); c != 0 {
 			return c
 		}
 		return cmp.Compare(a, b)
 	})
-	for _, i := range refs {
-		if q.pred != nil {
-			sh.view(int(i), scratch)
-		}
-		if !fn(sh, int(i)) {
-			return false
-		}
-	}
-	return true
+	return rows
 }
 
 // drainTask visits every matching row of a compiled per-shard task (not
@@ -276,11 +269,78 @@ func (q *Query) probeShard(sh *shard, perm []int32, ordered bool, scratch *Event
 func (ex *executor) drainTask(ti int, ordered bool, scratch *Event, fn func(sh *shard, i int) bool) bool {
 	t := ex.tasks[ti]
 	v := ex.views[t.vi]
+	sh := v.shards[t.si]
+	statTask(v, t.kind)
+	if t.kind != execProbe {
+		return ex.q.scanShard(sh, scratch, ordered, fn)
+	}
+	perm := ex.tgt[t.vi][t.si]
+	if !ordered {
+		return ex.q.probeShard(sh, perm, scratch, fn)
+	}
+	for _, i := range ex.q.orderedProbe(sh, perm, scratch) {
+		if ex.q.pred != nil {
+			sh.view(int(i), scratch)
+		}
+		if !fn(sh, int(i)) {
+			return false
+		}
+	}
+	return true
+}
+
+// rowSource is one compiled per-shard task opened as an ordered row
+// stream, pulled a row at a time by IterByStart's per-shard merge: a
+// probe task's orderedProbe matches, or a scan task's lazy mergeCursor
+// walk, filtered as it advances. Either way rows come in the shard's
+// Iter order and have passed every filter.
+type rowSource struct {
+	sh    *shard
+	kind  execKind
+	probe []int32     // probe task: matches not yet pulled
+	scan  mergeCursor // scan task: the merged body+tail walk
+	head  int         // the next matching row, -1 once exhausted
+}
+
+// openSource opens task ti as a rowSource positioned on its first
+// matching row. scratch is clobbered when the query has a predicate.
+func (ex *executor) openSource(ti int, scratch *Event) rowSource {
+	t := ex.tasks[ti]
+	v := ex.views[t.vi]
+	src := rowSource{sh: v.shards[t.si], kind: t.kind}
 	statTask(v, t.kind)
 	if t.kind == execProbe {
-		return ex.q.probeShard(v.shards[t.si], ex.tgt[t.vi][t.si], ordered, scratch, fn)
+		src.probe = ex.q.orderedProbe(src.sh, ex.tgt[t.vi][t.si], scratch)
+	} else {
+		src.scan = newMergeCursor(src.sh)
 	}
-	return ex.q.scanShard(v.shards[t.si], scratch, ordered, fn)
+	ex.advance(&src, scratch)
+	return src
+}
+
+// advance moves src to its next matching row.
+func (ex *executor) advance(src *rowSource, scratch *Event) {
+	src.head = -1
+	if src.kind == execProbe {
+		if len(src.probe) > 0 {
+			src.head, src.probe = int(src.probe[0]), src.probe[1:]
+		}
+		return
+	}
+	q, sh := ex.q, src.sh
+	for i := src.scan.next(); i >= 0; i = src.scan.next() {
+		if !q.matchKey(sh, i) {
+			continue
+		}
+		if q.pred != nil {
+			sh.view(i, scratch)
+			if !q.pred(scratch) {
+				continue
+			}
+		}
+		src.head = i
+		return
+	}
 }
 
 // countPartial is one counting task's accumulator; execCounts merges

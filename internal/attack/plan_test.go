@@ -54,36 +54,43 @@ func TestPlanRejectsPredicate(t *testing.T) {
 // every out-of-domain field in a received plan is an error, not a
 // silently different query.
 func TestDecodePlanRejectsCorrupt(t *testing.T) {
-	base := func() []byte {
-		p := Plan{Source: 1, VecMask: 1 << VectorNTP, HasDays: true, DayLo: 3, DayHi: 9,
-			HasPrefix: true, PrefixBits: 24, Prefix: netx.AddrFrom4(203, 0, 113, 0)}
-		return p.AppendBinary(nil)
-	}
-	if _, err := DecodePlan(base()); err != nil {
+	if _, err := DecodePlan(validPlanBytes()); err != nil {
 		t.Fatalf("baseline plan rejected: %v", err)
 	}
-	cases := []struct {
-		name    string
-		corrupt func(b []byte) []byte
-	}{
-		{"short", func(b []byte) []byte { return b[:PlanSize-1] }},
-		{"long", func(b []byte) []byte { return append(b, 0) }},
-		{"bad-source", func(b []byte) []byte { b[0] = 7; return b }},
-		{"unknown-flag", func(b []byte) []byte { b[1] |= 0x80; return b }},
-		{"reserved", func(b []byte) []byte { b[3] = 1; return b }},
-		{"vecmask-overflow", func(b []byte) []byte { b[7] = 0xff; return b }},
-		{"prefix-bits", func(b []byte) []byte { b[2] = 33; return b }},
-		{"prefix-unmasked", func(b []byte) []byte { b[2] = 8; return b }},
-		{"days-without-flag", func(b []byte) []byte { b[1] &^= planHasDays; return b }},
-		{"prefix-without-flag", func(b []byte) []byte { b[1] &^= planHasPrefix; return b }},
-	}
-	for _, tc := range cases {
+	for _, tc := range corruptPlans {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := DecodePlan(tc.corrupt(base())); err == nil {
+			if _, err := DecodePlan(tc.corrupt(validPlanBytes())); err == nil {
 				t.Fatal("corrupt plan decoded without error")
 			}
 		})
 	}
+}
+
+// validPlanBytes is the wire encoding of a plan using every filter; the
+// corruptPlans cases each break one field of it.
+func validPlanBytes() []byte {
+	p := Plan{Source: 1, VecMask: 1 << VectorNTP, HasDays: true, DayLo: 3, DayHi: 9,
+		HasPrefix: true, PrefixBits: 24, Prefix: netx.AddrFrom4(203, 0, 113, 0)}
+	return p.AppendBinary(nil)
+}
+
+// corruptPlans lists one out-of-domain mutation per plan field — the
+// TestDecodePlanRejectsCorrupt table, also the FuzzDecodePlanString
+// seeds.
+var corruptPlans = []struct {
+	name    string
+	corrupt func(b []byte) []byte
+}{
+	{"short", func(b []byte) []byte { return b[:PlanSize-1] }},
+	{"long", func(b []byte) []byte { return append(b, 0) }},
+	{"bad-source", func(b []byte) []byte { b[0] = 7; return b }},
+	{"unknown-flag", func(b []byte) []byte { b[1] |= 0x80; return b }},
+	{"reserved", func(b []byte) []byte { b[3] = 1; return b }},
+	{"vecmask-overflow", func(b []byte) []byte { b[7] = 0xff; return b }},
+	{"prefix-bits", func(b []byte) []byte { b[2] = 33; return b }},
+	{"prefix-unmasked", func(b []byte) []byte { b[2] = 8; return b }},
+	{"days-without-flag", func(b []byte) []byte { b[1] &^= planHasDays; return b }},
+	{"prefix-without-flag", func(b []byte) []byte { b[1] &^= planHasPrefix; return b }},
 }
 
 // TestQueryBackendsLocal checks the federated fan-out against the

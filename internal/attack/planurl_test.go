@@ -1,6 +1,7 @@
 package attack
 
 import (
+	"encoding/base64"
 	"math/rand"
 	"net/url"
 	"testing"
@@ -94,17 +95,21 @@ func TestPlanFromValuesForms(t *testing.T) {
 	}
 }
 
+// badPlanQueries are URL query strings PlanFromValues must reject; the
+// plan= values among them also seed FuzzDecodePlanString.
+var badPlanQueries = []string{
+	"source=darknet",
+	"vectors=HTTP",
+	"days=x",
+	"days=3-",
+	"prefix=198.51.100.0",    // no /bits
+	"prefix=198.51.100.0/40", // bits out of range
+	"plan=!!!",
+	"plan=" + PlanAll().EncodeString() + "&days=0-1", // plan= is exclusive
+}
+
 func TestPlanFromValuesRejects(t *testing.T) {
-	for _, query := range []string{
-		"source=darknet",
-		"vectors=HTTP",
-		"days=x",
-		"days=3-",
-		"prefix=198.51.100.0",    // no /bits
-		"prefix=198.51.100.0/40", // bits out of range
-		"plan=!!!",
-		"plan=" + PlanAll().EncodeString() + "&days=0-1", // plan= is exclusive
-	} {
+	for _, query := range badPlanQueries {
 		v, err := url.ParseQuery(query)
 		if err != nil {
 			t.Fatal(err)
@@ -113,4 +118,42 @@ func TestPlanFromValuesRejects(t *testing.T) {
 			t.Fatalf("PlanFromValues(%q) succeeded, want error", query)
 		}
 	}
+}
+
+// FuzzDecodePlanString feeds arbitrary strings to the plan= decoder: it
+// must never panic, and every plan it accepts must round-trip through
+// EncodeString to the same plan and a stable canonical string.
+func FuzzDecodePlanString(f *testing.F) {
+	for _, query := range badPlanQueries {
+		v, err := url.ParseQuery(query)
+		if err != nil {
+			f.Fatal(err)
+		}
+		if s := v.Get(ParamPlan); s != "" {
+			f.Add(s)
+		}
+	}
+	f.Add(base64.RawURLEncoding.EncodeToString(validPlanBytes()))
+	for _, tc := range corruptPlans {
+		f.Add(base64.RawURLEncoding.EncodeToString(tc.corrupt(validPlanBytes())))
+	}
+	f.Add(PlanAll().EncodeString())
+	f.Add("")
+	f.Fuzz(func(t *testing.T, s string) {
+		p, err := DecodePlanString(s)
+		if err != nil {
+			return
+		}
+		enc := p.EncodeString()
+		back, err := DecodePlanString(enc)
+		if err != nil {
+			t.Fatalf("DecodePlanString(%q) rejects the re-encoding %q of its own plan: %v", s, enc, err)
+		}
+		if back != p {
+			t.Fatalf("plan round trip: %q decoded to %+v, %q back to %+v", s, p, enc, back)
+		}
+		if again := back.EncodeString(); again != enc {
+			t.Fatalf("EncodeString is not canonical: %q then %q", enc, again)
+		}
+	})
 }

@@ -1,7 +1,9 @@
 package attack
 
 import (
+	"cmp"
 	"iter"
+	"slices"
 
 	"doscope/internal/netx"
 )
@@ -325,58 +327,55 @@ func (q *Query) Iter() iter.Seq[*Event] {
 
 // IterByStart yields matching events from all stores merged by start
 // time (ties favor the earlier store, then per-store order), the order
-// the fusion pipeline consumes for daily stamping. Shard alignment makes
-// this a per-day-range k-way merge over the start columns instead of a
-// global sort; rows are materialized only after they win the merge, and
-// pending tails join the merge on the fly. The yielded *Event is
+// the fusion pipeline consumes for daily stamping. It runs on the
+// executor: the query compiles to the same per-(store, shard) tasks as
+// Iter, each opened as an ordered row source — prefix filters of /8 or
+// longer probe the by-target permutations, everything else walks the
+// shard's merged body and pending tail — and shard alignment turns the
+// merge into a per-shard k-way merge across stores over the start
+// column instead of a global sort. Shards open lazily, so a consumer
+// that stops early never touches the shards past its stop; rows are
+// materialized only after they win the merge. The yielded *Event is
 // scratch, valid until the next yield.
 func (q *Query) IterByStart() iter.Seq[*Event] {
 	return func(yield func(*Event) bool) {
-		lo, hi := q.shardRange()
-		views := q.views()
+		ex := q.compile(cmRows)
+		// Tasks are view-major; a stable sort by shard groups them per
+		// shard with store order kept inside each group.
+		order := make([]int, len(ex.tasks))
+		for ti := range order {
+			order[ti] = ti
+		}
+		slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(ex.tasks[a].si, ex.tasks[b].si) })
 		var scratch Event
-		cursors := make([]mergeCursor, len(views))
-		for si := lo; si <= hi; si++ {
-			for k, v := range views {
-				cursors[k] = mergeCursor{}
-				if v == nil || si >= len(v.shards) {
-					continue
-				}
-				if q.mayMatch(v, si) {
-					cursors[k] = newMergeCursor(v.shards[si])
-				}
+		srcs := make([]rowSource, 0, len(ex.views))
+		for len(order) > 0 {
+			si := ex.tasks[order[0]].si
+			srcs = srcs[:0]
+			for len(order) > 0 && ex.tasks[order[0]].si == si {
+				srcs = append(srcs, ex.openSource(order[0], &scratch))
+				order = order[1:]
 			}
 			for {
-				best, bestRow := -1, -1
+				var best *rowSource
 				var bestStart int64
-				for k := range cursors {
-					c := &cursors[k]
-					if c.sh == nil {
+				for k := range srcs {
+					s := &srcs[k]
+					if s.head < 0 {
 						continue
 					}
-					row := c.peek()
-					if row < 0 {
-						continue
-					}
-					if s := c.sh.start[row]; best < 0 || s < bestStart {
-						best, bestRow, bestStart = k, row, s
+					if start := s.sh.start[s.head]; best == nil || start < bestStart {
+						best, bestStart = s, start
 					}
 				}
-				if best < 0 {
+				if best == nil {
 					break
 				}
-				c := &cursors[best]
-				c.advance()
-				if !q.matchKey(c.sh, bestRow) {
-					continue
-				}
-				c.sh.view(bestRow, &scratch)
-				if q.pred != nil && !q.pred(&scratch) {
-					continue
-				}
+				best.sh.view(best.head, &scratch)
 				if !yield(&scratch) {
 					return
 				}
+				ex.advance(best, &scratch)
 			}
 		}
 	}

@@ -11,7 +11,11 @@ import (
 )
 
 // echoServer answers every connection with a fixed banner, then echoes
-// request bytes back — enough traffic shape to observe each fault.
+// request bytes back — enough traffic shape to observe each fault. It
+// sends the banner only after reading the one-byte client hello
+// dialProxy writes, so no response byte (and no fault the proxy arms on
+// response bytes, such as ResetAfter's RST) can reach the client before
+// its dial has returned.
 func echoServer(t *testing.T) (addr string, banner []byte) {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -28,6 +32,9 @@ func echoServer(t *testing.T) (addr string, banner []byte) {
 			}
 			go func() {
 				defer c.Close()
+				if _, err := io.ReadFull(c, make([]byte, len(hello))); err != nil {
+					return
+				}
 				c.Write(banner)
 				io.Copy(c, c)
 			}()
@@ -36,6 +43,12 @@ func echoServer(t *testing.T) (addr string, banner []byte) {
 	return l.Addr().String(), banner
 }
 
+// hello is the client's opening byte; echoServer answers nothing
+// before it.
+var hello = []byte{'h'}
+
+// dialProxy connects to the proxy and sends the client hello that
+// releases the echo server's banner.
 func dialProxy(t *testing.T, p *Proxy) net.Conn {
 	t.Helper()
 	c, err := net.DialTimeout("tcp", p.Addr(), 2*time.Second)
@@ -43,6 +56,9 @@ func dialProxy(t *testing.T, p *Proxy) net.Conn {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { c.Close() })
+	if _, err := c.Write(hello); err != nil {
+		t.Fatal(err)
+	}
 	return c
 }
 

@@ -15,12 +15,12 @@ import (
 const benchEvents = 20000
 
 // benchServer serves one live store of benchEvents random events.
-func benchServer(b *testing.B, opts ...Option) *httptest.Server {
+func benchServer(b *testing.B, opts ...Option) (*httptest.Server, *attack.Store) {
 	b.Helper()
 	st := attack.NewStore(randomEvents(rand.New(rand.NewSource(71)), benchEvents))
 	ts := httptest.NewServer(NewServer([]attack.Queryable{st}, opts...))
 	b.Cleanup(ts.Close)
-	return ts
+	return ts, st
 }
 
 func benchGet(b *testing.B, client *http.Client, url string) {
@@ -51,7 +51,7 @@ func BenchmarkHTTPCount(b *testing.B) {
 		{"cached", nil},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
-			ts := benchServer(b, mode.opts...)
+			ts, _ := benchServer(b, mode.opts...)
 			url := ts.URL + "/v1/count?source=honeypot&days=0..364"
 			for _, clients := range []int{1, 8} {
 				b.Run(fmt.Sprintf("clients=%d", clients), func(b *testing.B) {
@@ -84,7 +84,7 @@ func BenchmarkHTTPTargetPrefix(b *testing.B) {
 		{"cached", nil},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
-			ts := benchServer(b, mode.opts...)
+			ts, _ := benchServer(b, mode.opts...)
 			url := ts.URL + "/v1/count/target-prefix?group=16&top=100"
 			client := ts.Client()
 			benchGet(b, client, url)
@@ -96,12 +96,15 @@ func BenchmarkHTTPTargetPrefix(b *testing.B) {
 	}
 }
 
-// BenchmarkHTTPEventsPage measures one NDJSON page of 1000 events
-// through the streaming path (pages are never cached), first page
-// versus a deep cursor-resumed page — the deep page leans on the
-// cursor's day-range narrowing to skip shards below the resume point.
+// BenchmarkHTTPEventsPage measures one NDJSON page through the
+// streaming path (pages are never cached): the first page of 1000
+// events versus a deep cursor-resumed page — the deep page leans on the
+// cursor's day-range narrowing to skip shards below the resume point —
+// and prefix-month, the analyst's drill-down: one /24's events over
+// ~30 days, limit 200, served by the by-target probe. Each reports the
+// executor tasks per page by kind, so the record shows which path ran.
 func BenchmarkHTTPEventsPage(b *testing.B) {
-	ts := benchServer(b)
+	ts, st := benchServer(b)
 	first := ts.URL + "/v1/events?limit=1000"
 
 	// Fetch a deep cursor once: page 15 of the full scan.
@@ -129,16 +132,29 @@ func BenchmarkHTTPEventsPage(b *testing.B) {
 	}
 	deep := first + "&cursor=" + cursor
 
+	anchor := randomEvents(rand.New(rand.NewSource(71)), 1)[0]
+	day := attack.DayOf(anchor.Start)
+	prefixMonth := fmt.Sprintf("%s/v1/events?limit=200&prefix=%s/24&days=%d..%d",
+		ts.URL, anchor.Target.Mask(24), day, day+29)
+
 	for _, bc := range []struct{ name, url string }{
 		{"first", first},
 		{"deep", deep},
+		{"prefix-month", prefixMonth},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			client := ts.Client()
+			benchGet(b, client, bc.url) // build the lazy indexes outside the timing
+			b.ReportAllocs()
+			before := st.ExecStats()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				benchGet(b, client, bc.url)
 			}
+			b.StopTimer()
+			after := st.ExecStats()
+			b.ReportMetric(float64(after.ProbeTasks-before.ProbeTasks)/float64(b.N), "probe-tasks/op")
+			b.ReportMetric(float64(after.ScanTasks-before.ScanTasks)/float64(b.N), "scan-tasks/op")
 		})
 	}
 }

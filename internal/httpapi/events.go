@@ -102,9 +102,12 @@ func narrowToCursor(p attack.Plan, c cursor) attack.Plan {
 // handleEvents streams matching events as NDJSON in global start-time
 // order (attack.FedQuery.IterByStart: ties resolve by backend order,
 // then per-store order), paginated by limit= and resumed by cursor=.
-// Pages are not cached — they stream — but deep pagination stays
-// cheap: the cursor's day bound prunes every shard (and for remote
-// backends, every shipped segment) below the resume point.
+// Pages are not cached — they stream — but they stay cheap: IterByStart
+// runs on the executor one shard at a time, so a page stops inside the
+// shard that fills it; a prefix of /8 or longer is served by by-target
+// probe tasks instead of a walk of every row in the day range; and the
+// cursor's day bound prunes every shard (and for remote backends,
+// every shipped segment) below the resume point.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	p, ok := planFrom(w, r)
 	if !ok {

@@ -550,6 +550,26 @@ func TestFiguresAgainstDirect(t *testing.T) {
 	}
 }
 
+// badRequests is TestBadRequests' table; FuzzParseCursor seeds from its
+// cursor= values.
+var badRequests = []struct {
+	path string
+	want int
+}{
+	{"/v1/count?source=mars", http.StatusBadRequest},
+	{"/v1/count?days=ten..twelve", http.StatusBadRequest},
+	{"/v1/count?prefix=not-a-cidr", http.StatusBadRequest},
+	{"/v1/count?plan=%21%21%21", http.StatusBadRequest},
+	{"/v1/count?plan=AAAA&source=telescope", http.StatusBadRequest},
+	{"/v1/events?cursor=xyz", http.StatusBadRequest},
+	{"/v1/events?limit=0", http.StatusBadRequest},
+	{"/v1/events?limit=999999999", http.StatusBadRequest},
+	{"/v1/count/target-prefix?group=33", http.StatusBadRequest},
+	{"/v1/figures/2", http.StatusNotFound},
+	{"/v1/figures/1?source=telescope", http.StatusBadRequest},
+	{"/v1/nope", http.StatusNotFound},
+}
+
 // TestBadRequests pins the failure-mode statuses: malformed filters and
 // cursors are 400s, unknown figures 404, source-filtered figures 400,
 // and the error body is always the JSON envelope.
@@ -558,24 +578,7 @@ func TestBadRequests(t *testing.T) {
 	ts := httptest.NewServer(NewServer([]attack.Queryable{live}))
 	defer ts.Close()
 
-	cases := []struct {
-		path string
-		want int
-	}{
-		{"/v1/count?source=mars", http.StatusBadRequest},
-		{"/v1/count?days=ten..twelve", http.StatusBadRequest},
-		{"/v1/count?prefix=not-a-cidr", http.StatusBadRequest},
-		{"/v1/count?plan=%21%21%21", http.StatusBadRequest},
-		{"/v1/count?plan=AAAA&source=telescope", http.StatusBadRequest},
-		{"/v1/events?cursor=xyz", http.StatusBadRequest},
-		{"/v1/events?limit=0", http.StatusBadRequest},
-		{"/v1/events?limit=999999999", http.StatusBadRequest},
-		{"/v1/count/target-prefix?group=33", http.StatusBadRequest},
-		{"/v1/figures/2", http.StatusNotFound},
-		{"/v1/figures/1?source=telescope", http.StatusBadRequest},
-		{"/v1/nope", http.StatusNotFound},
-	}
-	for _, c := range cases {
+	for _, c := range badRequests {
 		status, body := getBody(t, ts, c.path)
 		if status != c.want {
 			t.Errorf("GET %s: status %d, want %d (body %s)", c.path, status, c.want, body)
@@ -584,6 +587,40 @@ func TestBadRequests(t *testing.T) {
 			t.Errorf("GET %s: error body missing envelope: %s", c.path, body)
 		}
 	}
+}
+
+// FuzzParseCursor feeds arbitrary strings to the events cursor parser:
+// it must never panic, and every cursor it accepts must survive a
+// round trip through its text form unchanged.
+func FuzzParseCursor(f *testing.F) {
+	for _, c := range badRequests {
+		u, err := url.Parse(c.path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		if cs := u.Query().Get("cursor"); cs != "" {
+			f.Add(cs)
+		}
+	}
+	for _, s := range []string{"0:0", "1420070400:3", "-86400:12", "+7:01", "7:-1", ":", "9223372036854775807:0"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		c, err := parseCursor(s)
+		if err != nil {
+			return
+		}
+		if c.skip < 0 {
+			t.Fatalf("parseCursor(%q) accepted negative skip %d", s, c.skip)
+		}
+		back, err := parseCursor(c.String())
+		if err != nil {
+			t.Fatalf("parseCursor(%q) rejects its own String form %q: %v", s, c.String(), err)
+		}
+		if back != c {
+			t.Fatalf("cursor round trip: %q parsed to %+v, %q back to %+v", s, c, c.String(), back)
+		}
+	})
 }
 
 // TestTargetPrefixEndpoint checks the grouped tally against a direct
